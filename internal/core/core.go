@@ -296,9 +296,12 @@ func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *
 // step is one batched forward/backward pass, so the per-class matrix
 // products fuse into large per-layer GEMMs; every input row evolves by
 // exactly the per-sample operation sequence, so the synthesised inputs
-// are bit-identical to running synthSteps class by class.
+// are bit-identical to running synthSteps class by class. The stacked
+// input and every layer intermediate live in target's workspaces, so
+// after the first step a step allocates only a few headers and the
+// [B, classes] logits and loss gradient.
 func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, opts Options) {
-	x := tensor.Stack(xs)
+	x := target.StackBatch(xs)
 	labels := make([]int, len(xs))
 	for i := range labels {
 		labels[i] = firstLabel + i

@@ -54,7 +54,7 @@ func DefaultConfig(net *nn.Network) Config {
 
 // DefaultBatch is the evaluation batch size core's generators use where
 // batching pays off by default (input synthesis, whose batched backward
-// is input-only and measures ~20% faster): big enough that every
+// is input-only): big enough that every
 // layer's batched product is a full-size GEMM, small enough that the
 // batch's im2col caches stay cache-resident. This package's extractors
 // take an explicit batch argument and treat values below 2 as
@@ -186,7 +186,7 @@ func paramSets(net *nn.Network, input func(int) *tensor.Tensor, n int, cfg Confi
 // against the batch caches, which reproduces the per-sample backward
 // computation exactly.
 func paramSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg Config, out []*bitset.Set) {
-	logits := net.ForwardBatch(tensor.Stack(xs))
+	logits := net.ForwardBatch(net.StackBatch(xs))
 	// The ones seed can be shared across samples: no layer mutates the
 	// output gradient handed to its backward pass.
 	ones := nn.OnesLike(logits.Sample(0))

@@ -87,6 +87,10 @@ type Activate struct {
 	in, out *tensor.Tensor // cached for the backward pass
 
 	inB, outB *tensor.Tensor // cached batch state of the last ForwardBatch
+
+	// Input-gradient workspaces of the batched and per-sample-of-batch
+	// backward passes (batch.go states the ownership contract).
+	dxB, dxS *tensor.Tensor
 }
 
 // NewActivate constructs an activation layer.
@@ -97,49 +101,60 @@ func NewActivate(name string, fn Activation) *Activate {
 // Forward implements Layer.
 func (a *Activate) Forward(x *tensor.Tensor) *tensor.Tensor {
 	a.in = x
-	a.out = a.activate(x)
+	a.out = tensor.New(x.Shape()...)
+	a.activateInto(a.out.Data(), x.Data())
 	return a.out
 }
 
-// activate returns Fn applied elementwise to x as a new tensor; the
-// shared kernel of the per-sample and batched forward passes (the ops
-// are per-element, so batching cannot change any value).
-func (a *Activate) activate(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
+// activateInto writes Fn applied elementwise to x into out; the shared
+// kernel of the per-sample and batched forward passes (the ops are
+// per-element, so batching cannot change any value).
+func (a *Activate) activateInto(out, x []float64) {
+	out = out[:len(x)]
 	switch a.Fn {
 	case ReLU:
-		out.Apply(func(v float64) float64 {
+		for i, v := range x {
 			if v > 0 {
-				return v
+				out[i] = v
+			} else {
+				out[i] = 0
 			}
-			return 0
-		})
+		}
 	case Tanh:
-		out.Apply(math.Tanh)
+		for i, v := range x {
+			out[i] = math.Tanh(v)
+		}
 	case Sigmoid:
-		out.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+		for i, v := range x {
+			out[i] = 1 / (1 + math.Exp(-v))
+		}
 	case LeakyReLU:
-		out.Apply(func(v float64) float64 {
+		for i, v := range x {
 			if v > 0 {
-				return v
+				out[i] = v
+			} else {
+				out[i] = leakySlope * v
 			}
-			return leakySlope * v
-		})
+		}
+	default:
+		copy(out, x)
 	}
-	return out
 }
 
 // Backward implements Layer.
 func (a *Activate) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	return a.backwardWith(dOut, a.in.Data(), a.out.Data())
+	dx := tensor.New(dOut.Shape()...)
+	a.backwardInto(dx, dOut, a.in.Data(), a.out.Data())
+	return dx
 }
 
-// backwardWith is the elementwise backward kernel against explicit
+// backwardInto is the elementwise backward kernel against explicit
 // cached forward slices, shared by the per-sample, batched and
-// per-sample-of-batch paths.
-func (a *Activate) backwardWith(dOut *tensor.Tensor, in, out []float64) *tensor.Tensor {
-	dx := dOut.Clone()
+// per-sample-of-batch paths: it copies dOut into dx (same size) and
+// scales it in place.
+func (a *Activate) backwardInto(dx, dOut *tensor.Tensor, in, out []float64) {
 	dd := dx.Data()
+	copy(dd, dOut.Data())
 	switch a.Fn {
 	case ReLU:
 		for i := range dd {
@@ -162,7 +177,6 @@ func (a *Activate) backwardWith(dOut *tensor.Tensor, in, out []float64) *tensor.
 			}
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

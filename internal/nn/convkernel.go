@@ -29,24 +29,28 @@ func convForwardSample[E tensor.Num](w, bias, col *tensor.Dense[E], outC, hw int
 }
 
 // convForwardBatch convolves a whole batch from its cached Im2ColBatch
-// matrix into a [B, OutC, OutH, OutW] output. Sample s's columns sit at
-// column offset s*hw of the wide [C*K*K, B*hw] matrix (row stride B*hw),
-// and its output occupies the contiguous [OutC, hw] slab s of the
-// result, so both sides are strided views of existing buffers and the
-// whole layer is the GEMM's single memory pass.
-func convForwardBatch[E tensor.Num](w, bias, colBatch *tensor.Dense[E], b, outC int, g tensor.ConvGeom) *tensor.Dense[E] {
+// matrix into out, a [B, OutC, OutH, OutW] tensor whose stale contents
+// the GEMM overwrites. Sample s's columns sit at column offset s*hw of
+// the wide [C*K*K, B*hw] matrix (row stride B*hw), and its output
+// occupies the contiguous [OutC, hw] slab s of out, so both sides are
+// strided views of existing buffers and the whole layer is the GEMM's
+// single memory pass. views is scratch for the 2·B views, grown when
+// too short and returned for the next call.
+func convForwardBatch[E tensor.Num](out, w, bias, colBatch *tensor.Dense[E], b, outC int, g tensor.ConvGeom, views []tensor.Mat[E]) []tensor.Mat[E] {
 	hw := g.OutH * g.OutW
 	ckk := colBatch.Dim(0)
-	out := tensor.NewOf[E](b, outC, g.OutH, g.OutW)
+	if cap(views) < 2*b {
+		views = make([]tensor.Mat[E], 2*b)
+	}
+	views = views[:2*b]
+	dsts, cols := views[:b], views[b:]
 	od, cb := out.Data(), colBatch.Data()
-	dsts := make([]tensor.Mat[E], b)
-	cols := make([]tensor.Mat[E], b)
 	for s := 0; s < b; s++ {
 		dsts[s] = tensor.Mat[E]{Data: od[s*outC*hw : (s+1)*outC*hw], Rows: outC, Cols: hw, Stride: hw}
 		cols[s] = tensor.Mat[E]{Data: cb[s*hw:], Rows: ckk, Cols: hw, Stride: b * hw}
 	}
 	tensor.MatMulIntoStridedBatch(dsts, cols, w, bias.Data(), false)
-	return out
+	return views
 }
 
 // convSampleColView returns the strided view of sample s's column block

@@ -148,7 +148,9 @@ func (c *convF32) forwardBatch(x *tensor.T32) *tensor.T32 {
 	b := x.Dim(0)
 	// Same fused strided kernel as the float64 layer (convkernel.go):
 	// sample slabs written in place, bias in the epilogue, no permute.
-	return convForwardBatch(c.weight, c.bias, tensor.Im2ColBatch(x, c.geom), b, c.outC, c.geom)
+	out := tensor.NewOf[float32](b, c.outC, c.geom.OutH, c.geom.OutW)
+	convForwardBatch(out, c.weight, c.bias, tensor.Im2ColBatch(x, c.geom), b, c.outC, c.geom, nil)
+	return out
 }
 
 func (c *convF32) syncFrom(src Layer) {

@@ -17,10 +17,17 @@ type Conv2D struct {
 	Weight, Bias    *Param
 	geom            tensor.ConvGeom
 
-	col *tensor.Tensor // cached im2col of the last input
+	col *tensor.Tensor // cached im2col of the last input (reused)
 
-	colBatch *tensor.Tensor // cached Im2ColBatch of the last batch input
-	batchB   int            // batch size of the last ForwardBatch
+	// Batched-pass state and workspaces (batch.go states the ownership
+	// contract).
+	colBatch *tensor.Tensor        // cached Im2ColBatch of the last batch input
+	batchB   int                   // batch size of the last ForwardBatch
+	outB     *tensor.Tensor        // [B, OutC, OH, OW] ForwardBatch output
+	views    []tensor.Mat[float64] // per-sample GEMM views of the batched forward
+	dxB      *tensor.Tensor        // [B, InC, InH, InW] batched input gradient
+	dxS      *tensor.Tensor        // [InC, InH, InW] BackwardSample input gradient
+	dcol     *tensor.Tensor        // [InC*K*K, OH*OW] scratch of every backward's Wᵀ·dOut
 }
 
 // NewConv2D constructs a convolution for a fixed input geometry.
@@ -63,8 +70,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Dim(0) != c.InC || x.Dim(1) != c.InH || x.Dim(2) != c.InW {
 		panic(fmt.Sprintf("nn: %s expects input [%d %d %d], got %v", c.LayerName, c.InC, c.InH, c.InW, x.Shape()))
 	}
-	c.col = tensor.Im2Col(x, c.geom)
 	hw := c.geom.OutH * c.geom.OutW
+	c.col = reuse(c.col, c.InC*c.K*c.K, hw)
+	tensor.Im2ColInto(c.col.Data(), x, c.geom)
 	out := convForwardSample(c.Weight.W, c.Bias.W, c.col, c.OutC, hw) // [OutC, OutH*OutW]
 	return out.Reshape(c.OutC, c.geom.OutH, c.geom.OutW)
 }
@@ -81,9 +89,11 @@ func (c *Conv2D) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	for o := 0; o < c.OutC; o++ {
 		bd[o] += tensor.Sum(dd[o*hw : o*hw+hw])
 	}
-	// dX = Col2Im(Wᵀ · dOut)
-	dcol := tensor.MatMulTA(c.Weight.W, d2)
-	return tensor.Col2Im(dcol, c.geom)
+	// dX = Col2Im(Wᵀ · dOut), a fresh tensor: the per-sample path
+	// returns nothing layer-owned.
+	dx := tensor.New(c.InC, c.InH, c.InW)
+	c.inputGrad(d2, dx.Data())
+	return dx
 }
 
 // Params implements Layer.
@@ -100,6 +110,11 @@ type Dense struct {
 
 	x      *tensor.Tensor // cached input
 	xBatch *tensor.Tensor // cached [B,In] input of the last ForwardBatch
+
+	// Batched-pass workspaces (batch.go states the ownership contract).
+	outB *tensor.Tensor // [B, Out] ForwardBatch output
+	dxB  *tensor.Tensor // [B, In] batched input gradient
+	dxS  *tensor.Tensor // [In] BackwardSample input gradient
 }
 
 // NewDense constructs a fully connected layer.
@@ -139,12 +154,16 @@ func (d *Dense) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	if dOut.Size() != d.Out {
 		panic(fmt.Sprintf("nn: %s backward expects %d grads, got %v", d.LayerName, d.Out, dOut.Shape()))
 	}
-	return d.backwardWith(dOut, d.x.Data())
+	dx := tensor.New(d.In)
+	d.backwardInto(dx, dOut, d.x.Data())
+	return dx
 }
 
-// backwardWith is the per-sample backward against an explicit cached
-// input slice, shared by Backward and BackwardSample.
-func (d *Dense) backwardWith(dOut *tensor.Tensor, xd []float64) *tensor.Tensor {
+// backwardInto is the per-sample backward against an explicit cached
+// input slice, shared by Backward and BackwardSample: it accumulates the
+// parameter gradients and adds the input gradient into dx, which the
+// caller zeroes.
+func (d *Dense) backwardInto(dx, dOut *tensor.Tensor, xd []float64) {
 	do := dOut.Data()
 	wg := d.Weight.Grad.Data()
 	for o := 0; o < d.Out; o++ {
@@ -157,7 +176,6 @@ func (d *Dense) backwardWith(dOut *tensor.Tensor, xd []float64) *tensor.Tensor {
 		}
 		d.Bias.Grad.Data()[o] += g
 	}
-	dx := tensor.New(d.In)
 	dxd := dx.Data()
 	wd := d.Weight.W.Data()
 	for o := 0; o < d.Out; o++ {
@@ -170,7 +188,6 @@ func (d *Dense) backwardWith(dOut *tensor.Tensor, xd []float64) *tensor.Tensor {
 			dxd[i] += g * wv
 		}
 	}
-	return dx
 }
 
 // Params implements Layer.

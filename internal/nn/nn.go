@@ -55,6 +55,9 @@ type Network struct {
 	offsets []int // flat offset of each Param across the whole network
 	flat    []*Param
 	total   int
+
+	stack      *tensor.Tensor // StackBatch input workspace
+	stackShape []int
 }
 
 // NewNetwork builds a network from the given layers.

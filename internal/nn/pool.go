@@ -18,6 +18,10 @@ type MaxPool2D struct {
 
 	argmaxB []int // per-sample winner indexes of the last ForwardBatch
 	batchB  int   // batch size of the last ForwardBatch
+
+	// Batched-pass workspaces (batch.go states the ownership contract).
+	outB     *tensor.Tensor // [B, C, OH, OW] ForwardBatch output
+	dxB, dxS *tensor.Tensor // batched and BackwardSample input gradients
 }
 
 // NewMaxPool2D constructs a max pooling layer for a fixed input geometry.

@@ -19,6 +19,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Num constrains the element types the tensor kernels support.
@@ -47,19 +48,29 @@ type Tensor = T64
 // NewOf returns a zero-filled tensor of E with the given shape. A call
 // with no dimensions returns a scalar tensor of one element.
 func NewOf[E Num](shape ...int) *Dense[E] {
+	// The constructors format their own copy of shape in panics, never
+	// the argument, so a variadic call's shape array stays on the
+	// caller's stack.
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in %v", s))
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Dense[E]{shape: s, data: make([]E, n)}
 }
 
 // New returns a zero-filled float64 tensor with the given shape.
+//
+// New and FromSlice are kept out of line on purpose: inlined into
+// another package they would call the generic instantiation directly,
+// whose escape summary is not exported, so every call would move its
+// variadic shape array to the heap.
+//
+//go:noinline
 func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
 
 // New32 returns a zero-filled float32 tensor with the given shape.
@@ -69,19 +80,22 @@ func New32(shape ...int) *T32 { return NewOf[float32](shape...) }
 // used directly (not copied); it panics if the length does not match the
 // shape.
 func FromSliceOf[E Num](data []E, shape ...int) *Dense[E] {
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), s, n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Dense[E]{shape: s, data: data}
 }
 
-// FromSlice wraps float64 data in a tensor of the given shape.
+// FromSlice wraps float64 data in a tensor of the given shape. It is
+// kept out of line for the reason New is.
+//
+//go:noinline
 func FromSlice(data []float64, shape ...int) *Tensor { return FromSliceOf(data, shape...) }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -130,15 +144,15 @@ func (t *Dense[E]) Clone() *Dense[E] {
 // Reshape returns a view of t with a new shape of the same total size.
 // The view shares the backing data.
 func (t *Dense[E]) Reshape(shape ...int) *Dense[E] {
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		n *= d
 	}
 	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), s, n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Dense[E]{shape: s, data: t.data}
 }
 
@@ -170,16 +184,27 @@ func Stack[E Num](xs []*Dense[E]) *Dense[E] {
 	if len(xs) == 0 {
 		panic("tensor: Stack of no tensors")
 	}
-	shape := append([]int{len(xs)}, xs[0].shape...)
-	out := NewOf[E](shape...)
+	out := NewOf[E](append([]int{len(xs)}, xs[0].shape...)...)
+	StackInto(out, xs)
+	return out
+}
+
+// StackInto is Stack writing into dst, whose shape must be
+// [len(xs), shape of xs[0]...]; every element of dst is overwritten.
+func StackInto[E Num](dst *Dense[E], xs []*Dense[E]) {
+	if len(xs) == 0 {
+		panic("tensor: Stack of no tensors")
+	}
+	if dst.Rank() != xs[0].Rank()+1 || dst.shape[0] != len(xs) || !slices.Equal(dst.shape[1:], xs[0].shape) {
+		panic(fmt.Sprintf("tensor: StackInto dst shape %v does not fit %d tensors of shape %v", dst.shape, len(xs), xs[0].shape))
+	}
 	sz := xs[0].Size()
 	for b, x := range xs {
 		if !x.SameShape(xs[0]) {
 			panic(fmt.Sprintf("tensor: Stack shape mismatch %v vs %v", x.shape, xs[0].shape))
 		}
-		copy(out.data[b*sz:(b+1)*sz], x.data)
+		copy(dst.data[b*sz:(b+1)*sz], x.data)
 	}
-	return out
 }
 
 // SameShape reports whether t and u have identical shapes.
@@ -209,7 +234,7 @@ func (t *Dense[E]) Fill(v E) {
 }
 
 // Zero sets every element to 0.
-func (t *Dense[E]) Zero() { t.Fill(0) }
+func (t *Dense[E]) Zero() { clear(t.data) }
 
 // AddInPlace sets t += u elementwise.
 func (t *Dense[E]) AddInPlace(u *Dense[E]) {

@@ -375,3 +375,32 @@ func TestGlorotHeRanges(t *testing.T) {
 		t.Fatalf("He std = %v, want ≈%v", std, want)
 	}
 }
+
+func TestStackIntoMatchesStack(t *testing.T) {
+	xs := []*Tensor{
+		FromSlice([]float64{1, 2, 3, 4}, 2, 2),
+		FromSlice([]float64{5, 6, 7, 8}, 2, 2),
+	}
+	want := Stack(xs)
+	if got := want.Shape(); len(got) != 3 || got[0] != 2 || got[1] != 2 || got[2] != 2 {
+		t.Fatalf("Stack shape %v, want [2 2 2]", got)
+	}
+	dst := New(2, 2, 2)
+	dst.Fill(math.NaN()) // stale contents must all be overwritten
+	StackInto(dst, xs)
+	for i, v := range want.Data() {
+		if dst.Data()[i] != v {
+			t.Fatalf("StackInto element %d = %v, want %v", i, dst.Data()[i], v)
+		}
+	}
+	for name, bad := range map[string]*Tensor{"batch": New(3, 2, 2), "sample": New(2, 4), "rank": New(2, 2, 2, 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StackInto accepted a %s-mismatched destination", name)
+				}
+			}()
+			StackInto(bad, xs)
+		}()
+	}
+}

@@ -429,6 +429,30 @@ func (s *Server) acceptLoop() {
 // completing its hello, so dead connections cannot pin handlers.
 const handshakeTimeout = 10 * time.Second
 
+// Bounds of lingerClose's drain: long enough for a peer's remaining
+// request writes to arrive, short and small enough that a peer which
+// keeps streaming cannot pin the handler.
+const (
+	lingerTimeout = 2 * time.Second
+	lingerBytes   = 1 << 20
+)
+
+// lingerClose half-closes conn after a final reply and drains whatever
+// the peer still sends before the deferred Close. Closing a TCP socket
+// with unread input makes the kernel answer with a reset, which
+// discards the reply before the peer reads it and fails the peer's next
+// write; a v1 client's gob encoder sends its type message and its value
+// as separate writes, so the server has always left input unread.
+// After CloseWrite the peer sees the reply and then EOF; its close ends
+// the drain.
+func lingerClose(conn net.Conn) {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		cw.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(lingerTimeout))
+	io.CopyN(io.Discard, conn, lingerBytes)
+}
+
 // serverWriteTimeout bounds each response (and handshake) write. A
 // client that stops reading fills the kernel send buffer; without this
 // bound its handler would block in Encode forever, pin a clone, and
@@ -450,6 +474,7 @@ func (s *Server) handle(conn net.Conn) {
 		// a descriptive error instead of a decode failure.
 		enc.Encode(queryResponse{Err: fmt.Sprintf(
 			"validate: protocol version mismatch: this server speaks v%d (preamble-first); the client opened with a pre-handshake v1 stream — upgrade the client", protocolVersion)})
+		lingerClose(conn)
 		return
 	}
 	// Negotiate the session version: the lower of the client's hello and
