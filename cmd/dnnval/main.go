@@ -194,7 +194,7 @@ func cmdGenerate(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	method := fs.String("method", "combined", "generator: combined, select, gradient")
 	par := fs.Int("parallel", parallel.Auto(), "worker goroutines (suite is bit-identical at any value)")
-	batch := fs.Int("batch", 0, "evaluation batch size per worker: 0 = default, 1 = per-sample (suite is bit-identical at any value)")
+	batch := fs.Int("batch", 0, "evaluation batch size per worker: 0 = default, 1 = one sample per pass (suite is bit-identical at any value)")
 	mode := fs.String("mode", "exact", "comparison mode sealed into the suite: exact (bit-identical outputs, the paper's setting), quantized (outputs rounded to -decimals; enables the v4 quantised wire replay), labels (argmax only)")
 	decimals := fs.Int("decimals", 6, "decimal precision of -mode quantized")
 	key := fs.String("key", "", "seal the suite with this key (hex-free shared secret)")

@@ -31,7 +31,7 @@ func main() {
 	budget := flag.Int("budget", 60, "test budget for the Fig. 3 curves")
 	probes := flag.Int("probes", 100, "probe images per Fig. 2 set")
 	par := flag.Int("parallel", 0, "worker goroutines for training and generation (0 = serial training + whole-machine generation; generated suites are bit-identical at any value)")
-	batch := flag.Int("batch", 0, "evaluation batch size per worker for suite generation (0 = default batch, 1 = per-sample; suites are bit-identical at any value)")
+	batch := flag.Int("batch", 0, "evaluation batch size per worker for suite generation (0 = default batch, 1 = one sample per pass; suites are bit-identical at any value)")
 	tol := flag.Float64("tol", 1e-4, "replay tolerance for the float32 precision report")
 	flag.Parse()
 

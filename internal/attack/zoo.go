@@ -78,13 +78,15 @@ func Trojan(net *nn.Network, trigger *tensor.Tensor, target int, cleans []*tenso
 		return nil, false, fmt.Errorf("attack: Trojan output layer weight not in parameter registry")
 	}
 
-	// Penultimate activations: forward through everything but the
-	// output layer.
+	// Penultimate activations: forward a batch of one through everything
+	// but the output layer, copying the result out of the last layer's
+	// workspace.
 	hidden := func(x *tensor.Tensor) []float64 {
+		h := x.Reshape(append([]int{1}, x.Shape()...)...)
 		for _, l := range stack[:len(stack)-1] {
-			x = l.Forward(x)
+			h = l.ForwardBatch(h)
 		}
-		return append([]float64(nil), x.Data()...)
+		return append([]float64(nil), h.Data()...)
 	}
 	ht := hidden(trigger)
 	if len(ht) != dense.In {

@@ -32,8 +32,8 @@ func benchOpts(n, workers int) Options {
 	return opts
 }
 
-// benchBatchOpts additionally pins the evaluation batch size; batch 1 is
-// the per-sample reference path.
+// benchBatchOpts additionally pins the evaluation batch size; batch 1
+// runs one sample per pass through the same engine.
 func benchBatchOpts(n, workers, batch int) Options {
 	opts := benchOpts(n, workers)
 	opts.Batch = batch
@@ -95,10 +95,11 @@ func benchParamSets(b *testing.B, workers, batch int) {
 }
 
 // BenchmarkParamSetsSerial is the fully serial reference (one worker,
-// per-sample). The PerSample vs Batched pair is the headline comparison
-// for the batched engine on the coverage hot loop — identical
-// (whole-machine) worker count, batch 1 vs the default evaluation
-// batch; PerSample doubles as the parallel-workers measurement.
+// batch 1). The PerSample vs Batched pair compares batch 1 with
+// coverage.DefaultBatch through one engine on the coverage hot loop, at
+// the same (whole-machine) worker count; PerSample doubles as the
+// parallel-workers measurement. The names stay so benchmark history
+// lines up across revisions.
 func BenchmarkParamSetsSerial(b *testing.B)    { benchParamSets(b, 1, 1) }
 func BenchmarkParamSetsPerSample(b *testing.B) { benchParamSets(b, parallel.Auto(), 1) }
 func BenchmarkParamSetsBatched(b *testing.B) {
@@ -112,8 +113,8 @@ func BenchmarkParamSetsSerialBatched(b *testing.B) {
 }
 
 // BenchmarkSelectPerSample vs ...Batched covers Algorithm 1 end to end
-// (activation precompute + lazy-greedy selection) at the two batch
-// settings.
+// (activation precompute + lazy-greedy selection): batch 1 vs
+// coverage.DefaultBatch through one engine.
 func BenchmarkSelectPerSample(b *testing.B) {
 	benchSelectOpts(b, benchBatchOpts(20, parallel.Auto(), 1))
 }
@@ -136,8 +137,9 @@ func benchSelectOpts(b *testing.B, opts Options) {
 }
 
 // BenchmarkSynthesisPerSample vs ...Batched isolates Algorithm 2's
-// gradient-descent loop, whose forward/backward passes fuse into batched
-// GEMMs across the per-class inputs.
+// gradient-descent loop: batch 1 vs coverage.DefaultBatch through one
+// engine, whose forward/backward passes fuse into batched GEMMs across
+// the per-class inputs at the larger batch.
 func BenchmarkSynthesisPerSample(b *testing.B) {
 	benchSynthesisOpts(b, benchBatchOpts(20, parallel.Auto(), 1))
 }

@@ -85,16 +85,14 @@ type Options struct {
 	// purely a speed knob.
 	Parallelism int
 	// Batch is the evaluation batch size within each worker: activation
-	// extraction and synthesis stack up to Batch inputs and run the
-	// batched forward/backward engine on them, turning per-sample matrix
-	// products into large per-layer GEMMs. Zero selects per-workload
-	// defaults — synthesis runs at coverage.DefaultBatch (its batched
-	// input-only backward measures ~20% faster), while activation
-	// extraction stays per-sample (its per-sample ∇θ backward dominates
-	// and measures no win from batching); 1 forces the per-sample path
-	// everywhere; larger values apply to both workloads. Batched
-	// evaluation is bit-identical to per-sample at any size, so this too
-	// is purely a speed knob.
+	// extraction and synthesis stack up to Batch inputs into one pass of
+	// the layer engine, turning per-sample matrix products into large
+	// per-layer GEMMs. Zero selects per-workload defaults — synthesis
+	// runs at coverage.DefaultBatch, activation extraction at 1 (its
+	// per-sample ∇θ backward dominates its cost); any positive value
+	// applies to both workloads. Every size runs the same engine, a
+	// single sample being a batch of one, and the suite is bit-identical
+	// at any size, so this too is purely a speed knob.
 	Batch int
 	// Pool, when set, runs the generator fan-outs (activation
 	// extraction, per-class synthesis) on this persistent worker pool
@@ -127,8 +125,8 @@ func DefaultOptions(maxTests int) Options {
 func (o Options) workers() int { return parallel.Workers(o.Parallelism) }
 
 // extractionBatch resolves the Batch knob for activation extraction:
-// per-sample unless an explicit batch was requested (negatives mean
-// "unset", like zero).
+// one input per pass unless an explicit batch was requested (negatives
+// mean "unset", like zero).
 func (o Options) extractionBatch() int {
 	if o.Batch <= 0 {
 		return 1
@@ -258,9 +256,12 @@ func residualNet(net *nn.Network, covered *bitset.Set) *nn.Network {
 
 // Synthesize runs Algorithm 2's inner loop (lines 5–11): T gradient
 // steps on the input so that target classifies it as class label,
-// starting from zeros (paper) or Gaussian noise.
+// starting from zeros (paper) or Gaussian noise. It is the batched loop
+// on a batch of one.
 func Synthesize(target *nn.Network, inShape []int, label int, opts Options, rng *rand.Rand) *tensor.Tensor {
-	return synthSteps(target, synthInit(inShape, opts, rng), label, opts)
+	x := synthInit(inShape, opts, rng)
+	synthStepsBatch(target, []*tensor.Tensor{x}, label, opts)
+	return x
 }
 
 // synthInit returns Algorithm 2's starting input, consuming rng exactly
@@ -274,31 +275,16 @@ func synthInit(inShape []int, opts Options, rng *rand.Rand) *tensor.Tensor {
 	return x
 }
 
-// synthSteps runs the T gradient steps of Algorithm 2 on x in place and
-// returns it. It mutates target's gradient accumulators and layer
-// caches, so concurrent callers need their own clone of target.
-func synthSteps(target *nn.Network, x *tensor.Tensor, label int, opts Options) *tensor.Tensor {
-	for t := 0; t < opts.Steps; t++ {
-		target.ZeroGrad()
-		logits := target.Forward(x)
-		_, dLogits := nn.SoftmaxCrossEntropy(logits, label)
-		dx := target.Backward(dLogits)
-		x.AddScaled(-opts.Eta, dx)
-		if opts.Clamp {
-			x.Clamp(0, 1)
-		}
-	}
-	return x
-}
-
 // synthStepsBatch runs the T gradient steps of Algorithm 2 on a stack
-// of inputs simultaneously, xs[i] targeting class firstLabel+i. Each
-// step is one batched forward/backward pass, so the per-class matrix
-// products fuse into large per-layer GEMMs; every input row evolves by
-// exactly the per-sample operation sequence, so the synthesised inputs
-// are bit-identical to running synthSteps class by class. The stacked
-// input and every layer intermediate live in target's workspaces, so
-// after the first step a step allocates only a few headers and the
+// of inputs simultaneously, xs[i] targeting class firstLabel+i, and
+// writes the results back into xs. Each step is one batched
+// forward/backward pass, so the per-class matrix products fuse into
+// large per-layer GEMMs; every input row evolves by exactly the
+// operation sequence of a batch of one, so the synthesised inputs do
+// not depend on how the classes are batched. It mutates target's layer
+// workspaces, so concurrent callers need their own clone of target. The
+// stacked input and every layer intermediate live in those workspaces,
+// so after the first step a step allocates only a few headers and the
 // [B, classes] logits and loss gradient.
 func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, opts Options) {
 	x := target.StackBatch(xs)
@@ -310,8 +296,8 @@ func synthStepsBatch(target *nn.Network, xs []*tensor.Tensor, firstLabel int, op
 		logits := target.ForwardBatch(x)
 		_, dLogits := nn.SoftmaxCrossEntropyBatch(logits, labels)
 		// Synthesis never reads parameter gradients, so the input-only
-		// backward skips the dW/db work entirely (the per-sample path
-		// computes and discards it); the dx rows are bit-identical.
+		// backward skips the dW/db work entirely; the dx rows are
+		// bit-identical to a full backward's.
 		dx := target.BackwardBatchInput(dLogits)
 		x.AddScaled(-opts.Eta, dx)
 		if opts.Clamp {
@@ -357,14 +343,7 @@ func synthesizeBatch(target *nn.Network, inShape []int, classes int, opts Option
 func runSynth(net *nn.Network, xs []*tensor.Tensor, lo, hi int, opts Options) {
 	bsz := opts.synthesisBatch()
 	for s := lo; s < hi; s += bsz {
-		e := min(s+bsz, hi)
-		if bsz <= 1 || e-s == 1 {
-			for c := s; c < e; c++ {
-				synthSteps(net, xs[c], c, opts)
-			}
-			continue
-		}
-		synthStepsBatch(net, xs[s:e], s, opts)
+		synthStepsBatch(net, xs[s:min(s+bsz, hi)], s, opts)
 	}
 }
 

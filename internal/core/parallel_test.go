@@ -53,17 +53,17 @@ func parallelOpts(n, workers int) Options {
 	return opts
 }
 
-// TestSuiteBatchBitIdentical is the batched-engine counterpart of the
-// worker-count tests: for every generator, the suite produced with
-// batched evaluation must equal the per-sample serial suite bit for bit
-// at B ∈ {1, 8, odd} and worker counts {1, 4}.
+// TestSuiteBatchBitIdentical is the batch-size counterpart of the
+// worker-count tests: for every generator, the suite must equal the
+// serial batch-1 suite (one sample per pass) bit for bit at
+// B ∈ {1, 8, odd} and worker counts {1, 4}.
 func TestSuiteBatchBitIdentical(t *testing.T) {
 	net := trainedDigitsNet()
 	ds := digitsTrainSet()
 	inShape := []int{1, 12, 12}
 
 	serialOpts := parallelOpts(10, 1)
-	serialOpts.Batch = 1 // per-sample reference path
+	serialOpts.Batch = 1 // one sample per pass
 
 	type gen struct {
 		name string
@@ -93,7 +93,7 @@ func TestSuiteBatchBitIdentical(t *testing.T) {
 	}
 
 	// NeuronGreedy separately (extra config): its batched neuron-set
-	// extraction must also be bit-identical to the per-sample path.
+	// extraction must also be bit-identical to batch 1.
 	ncfg := coverage.NeuronConfig{}
 	serial, err := NeuronGreedy(net, ds, ncfg, serialOpts)
 	if err != nil {

@@ -54,7 +54,7 @@ func TestPoolGeneratorsBitIdentical(t *testing.T) {
 
 // TestPinnedExtractorMatchesParamSets: the pinned extractor must
 // reproduce ParamSetsParallel/ParamSetsOf exactly, including after a
-// Sync, at per-sample and batched settings.
+// Sync, at batch 1 and larger batches.
 func TestPinnedExtractorMatchesParamSets(t *testing.T) {
 	net := trainedDigitsNet()
 	train := data.Digits(20, 12, 12, 107)

@@ -26,8 +26,8 @@ func scaleBed(b *testing.B) (*nn.Network, *data.Dataset) {
 }
 
 // BenchmarkScaleParamSetsBatchSweep charts activation extraction across
-// evaluation batch sizes at experiment scale; batch=1 is the per-sample
-// path.
+// evaluation batch sizes at experiment scale; batch=1 is one sample per
+// pass.
 func BenchmarkScaleParamSetsBatchSweep(b *testing.B) {
 	net, ds := scaleBed(b)
 	cfg := coverage.DefaultConfig(net)

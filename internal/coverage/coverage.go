@@ -54,31 +54,31 @@ func DefaultConfig(net *nn.Network) Config {
 
 // DefaultBatch is the evaluation batch size core's generators use where
 // batching pays off by default (input synthesis, whose batched backward
-// is input-only): big enough that every
-// layer's batched product is a full-size GEMM, small enough that the
-// batch's im2col caches stay cache-resident. This package's extractors
-// take an explicit batch argument and treat values below 2 as
-// per-sample — the right default for activation extraction, whose
-// per-sample ∇θ backward dominates its cost. Extraction is
-// bit-identical at any batch size, so batch knobs are purely about
-// speed.
+// is input-only): big enough that every layer's batched product is a
+// full-size GEMM, small enough that the batch's im2col caches stay
+// cache-resident. This package's extractors take an explicit batch
+// argument; values below 1 mean 1, a batch of one input per pass, which
+// is core's default for activation extraction, whose per-sample ∇θ
+// backward dominates its cost. Every batch size runs the same engine
+// and extraction is bit-identical at any of them, so batch knobs are
+// purely about speed.
 const DefaultBatch = 16
 
 // ParamActivation returns the set of parameters activated by x: bit i is
 // set when |∇θᵢ Σ_k F_k(x)| exceeds the configured threshold. The bitset
-// indexes parameters in the network's flat order.
+// indexes parameters in the network's flat order. It is the batched
+// extractor on a batch of one.
 func ParamActivation(net *nn.Network, x *tensor.Tensor, cfg Config) *bitset.Set {
-	net.ZeroGrad()
-	logits := net.Forward(x)
-	net.Backward(nn.OnesLike(logits))
-	return gradSet(net, cfg)
+	var out [1]*bitset.Set
+	paramSetsBatch(net, []*tensor.Tensor{x}, cfg, out[:])
+	return out[0]
 }
 
 // gradSet thresholds the gradients currently accumulated in net into an
-// activation bitset; the shared tail of the per-sample and batched
-// extractors. It walks the gradient slices directly — this runs once
-// per candidate, so the per-scalar callback of VisitGrads would be pure
-// overhead on the hot loop.
+// activation bitset; the tail of every extraction. It walks the
+// gradient slices directly — this runs once per candidate, so the
+// per-scalar callback of VisitGrads would be pure overhead on the hot
+// loop.
 func gradSet(net *nn.Network, cfg Config) *bitset.Set {
 	thresh := cfg.Epsilon
 	if cfg.Relative {
@@ -117,10 +117,10 @@ func ParamSets(net *nn.Network, ds *data.Dataset, cfg Config) []*bitset.Set {
 // cache per-input state, so a network cannot be shared) over contiguous
 // batches of up to batch samples: one batched forward pass shares the
 // large per-layer GEMMs, then each sample's parameter gradients come out
-// of a per-sample backward against the batch caches. Every logits row
-// and every gradient is bit-identical to the per-sample path, so the
-// result is independent of both workers and batch (batch <= 1 forces the
-// per-sample path).
+// of a one-sample backward against the batch caches. Every logits row
+// and every gradient is bit-identical at any batch size, so the result
+// is independent of both workers and batch (batch <= 1 means one sample
+// per pass).
 func ParamSetsParallel(net *nn.Network, ds *data.Dataset, cfg Config, workers, batch int) []*bitset.Set {
 	return paramSets(net, func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), cfg, workers, batch)
 }
@@ -134,9 +134,9 @@ func ParamSetsOf(net *nn.Network, xs []*tensor.Tensor, cfg Config, workers, batc
 // workerBatches fans [0,n) out across workers (per-worker clones of
 // net) and walks each worker's range in contiguous chunks of up to
 // batch samples, gathering the chunk's inputs and handing them to fn
-// together with the clone. batch <= 1 yields single-sample chunks — the
-// per-sample path. The chunking/fallback rules live here once so the
-// parameter- and neuron-set extractors cannot drift apart.
+// together with the clone. batch <= 1 yields single-sample chunks. The
+// chunking rules live here once so the parameter- and neuron-set
+// extractors cannot drift apart.
 func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, batch int,
 	fn func(clone *nn.Network, xs []*tensor.Tensor, start int)) {
 	if batch < 1 {
@@ -155,12 +155,10 @@ func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, 
 	}
 	if workers <= 1 {
 		run(net, 0, n)
-		// The serial path ran batched passes on the caller's live
-		// network; drop the last batch's caches so they don't stay
-		// pinned after extraction. (Worker clones just become garbage.)
-		if batch > 1 {
-			net.ReleaseBatchState()
-		}
+		// The serial path ran its passes on the caller's live network;
+		// drop the last batch's caches so they don't stay pinned after
+		// extraction. (Worker clones just become garbage.)
+		net.ReleaseBatchState()
 		return
 	}
 	clones := workerClones(net, workers)
@@ -172,10 +170,6 @@ func workerBatches(net *nn.Network, input func(int) *tensor.Tensor, n, workers, 
 func paramSets(net *nn.Network, input func(int) *tensor.Tensor, n int, cfg Config, workers, batch int) []*bitset.Set {
 	sets := make([]*bitset.Set, n)
 	workerBatches(net, input, n, workers, batch, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = ParamActivation(clone, xs[0], cfg)
-			return
-		}
 		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets
@@ -183,8 +177,7 @@ func paramSets(net *nn.Network, input func(int) *tensor.Tensor, n int, cfg Confi
 
 // paramSetsBatch extracts the activation set of every input in one
 // batched forward pass: per-sample gradients come from BackwardSample
-// against the batch caches, which reproduces the per-sample backward
-// computation exactly.
+// against the batch caches, which reproduces a one-sample pass exactly.
 func paramSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg Config, out []*bitset.Set) {
 	logits := net.ForwardBatch(net.StackBatch(xs))
 	// The ones seed can be shared across samples: no layer mutates the

@@ -22,50 +22,21 @@ type NeuronConfig struct {
 // NumNeurons returns the total number of neurons (elements of activation
 // layer outputs) the network has for the given input shape.
 func NumNeurons(net *nn.Network, inShape []int) int {
-	x := tensor.New(inShape...)
-	total := 0
-	for _, l := range net.LayerStack {
-		x = l.Forward(x)
-		if _, ok := l.(*nn.Activate); ok {
-			total += x.Size()
-		}
-	}
-	return total
+	return NeuronActivation(net, tensor.New(inShape...), NeuronConfig{}).Len()
 }
 
 // NeuronActivation returns the set of neurons x fires, indexed across
-// all activation layers in network order.
+// all activation layers in network order. It is the batched extractor on
+// a batch of one.
 func NeuronActivation(net *nn.Network, x *tensor.Tensor, cfg NeuronConfig) *bitset.Set {
-	// First pass to size the set lazily would double the forward cost;
-	// collect outputs, then fill.
-	type actOut struct {
-		out        *tensor.Tensor
-		saturating bool
-	}
-	var outs []actOut
-	cur := x
-	for _, l := range net.LayerStack {
-		cur = l.Forward(cur)
-		if a, ok := l.(*nn.Activate); ok {
-			outs = append(outs, actOut{out: cur, saturating: a.Fn.Saturating()})
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += o.out.Size()
-	}
-	set := bitset.New(total)
-	idx := 0
-	for _, o := range outs {
-		idx = fillFired(set, idx, o.out.Data(), o.saturating, cfg)
-	}
-	return set
+	var out [1]*bitset.Set
+	neuronSetsBatch(net, []*tensor.Tensor{x}, cfg, out[:])
+	return out[0]
 }
 
 // fillFired sets one bit per activation value starting at idx and
 // returns the index after the last value; the single definition of the
-// firing criterion, shared by the per-sample and batched extractors so
-// they cannot drift apart.
+// firing criterion.
 func fillFired(set *bitset.Set, idx int, vals []float64, saturating bool, cfg NeuronConfig) int {
 	for _, v := range vals {
 		fired := v > cfg.Threshold
@@ -85,26 +56,21 @@ func fillFired(set *bitset.Set, idx int, vals []float64, saturating bool, cfg Ne
 // within each worker (neuron coverage needs only forward activations, so
 // the whole extraction rides the batched forward pass); the
 // precomputation step of the neuron-greedy baseline. Results are
-// identical to the serial per-sample loop at any worker count and batch
-// size (batch <= 1 forces the per-sample path).
+// identical at any worker count and batch size (batch <= 1 means one
+// sample per pass).
 func NeuronSets(net *nn.Network, ds *data.Dataset, cfg NeuronConfig, workers, batch int) []*bitset.Set {
 	sets := make([]*bitset.Set, ds.Len())
 	input := func(i int) *tensor.Tensor { return ds.Samples[i].X }
 	workerBatches(net, input, ds.Len(), workers, batch, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = NeuronActivation(clone, xs[0], cfg)
-			return
-		}
 		neuronSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets
 }
 
 // neuronSetsBatch fills out with each input's fired-neuron set from one
-// batched forward pass. Batched activations are bit-identical to
-// per-sample ones and each sample's bits are filled in the same layer
-// and element order as NeuronActivation, so the sets are identical to
-// the per-sample path.
+// batched forward pass, indexed across all activation layers in network
+// order. Activations do not depend on the batch, so neither do the
+// sets.
 func neuronSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg NeuronConfig, out []*bitset.Set) {
 	type actOut struct {
 		out        *tensor.Tensor
@@ -113,7 +79,7 @@ func neuronSetsBatch(net *nn.Network, xs []*tensor.Tensor, cfg NeuronConfig, out
 	var outs []actOut
 	cur := tensor.Stack(xs)
 	for _, l := range net.LayerStack {
-		cur = l.(nn.BatchLayer).ForwardBatch(cur)
+		cur = l.ForwardBatch(cur)
 		if a, ok := l.(*nn.Activate); ok {
 			outs = append(outs, actOut{out: cur, saturating: a.Fn.Saturating()})
 		}

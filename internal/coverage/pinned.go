@@ -30,8 +30,8 @@ type PinnedExtractor struct {
 }
 
 // NewPinnedExtractor pins one clone of net to every worker of pool.
-// batch is the per-worker evaluation batch size (values < 1 mean
-// per-sample, like the batch argument of ParamSetsParallel).
+// batch is the per-worker evaluation batch size (values < 1 mean 1,
+// like the batch argument of ParamSetsParallel).
 func NewPinnedExtractor(net *nn.Network, pool *parallel.Pool, batch int) *PinnedExtractor {
 	if batch < 1 {
 		batch = 1
@@ -65,11 +65,7 @@ func (e *PinnedExtractor) ParamSetsOf(xs []*tensor.Tensor, cfg Config) []*bitset
 
 func (e *PinnedExtractor) paramSets(input func(int) *tensor.Tensor, n int, cfg Config) []*bitset.Set {
 	sets := make([]*bitset.Set, n)
-	e.chunks(func(i int) *tensor.Tensor { return input(i) }, n, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = ParamActivation(clone, xs[0], cfg)
-			return
-		}
+	e.chunks(input, n, func(clone *nn.Network, xs []*tensor.Tensor, start int) {
 		paramSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets
@@ -82,10 +78,6 @@ func (e *PinnedExtractor) paramSets(input func(int) *tensor.Tensor, n int, cfg C
 func (e *PinnedExtractor) NeuronSets(ds *data.Dataset, cfg NeuronConfig) []*bitset.Set {
 	sets := make([]*bitset.Set, ds.Len())
 	e.chunks(func(i int) *tensor.Tensor { return ds.Samples[i].X }, ds.Len(), func(clone *nn.Network, xs []*tensor.Tensor, start int) {
-		if len(xs) == 1 {
-			sets[start] = NeuronActivation(clone, xs[0], cfg)
-			return
-		}
 		neuronSetsBatch(clone, xs, cfg, sets[start:start+len(xs)])
 	})
 	return sets

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Activation identifies a supported nonlinearity.
 type Activation int
@@ -46,6 +42,9 @@ const leakySlope = 0.01
 type ScaleShift struct {
 	LayerName string
 	A, B      float64
+
+	// Pass workspaces (batch.go states the ownership contract).
+	outB, dxB, dxS *tensor.Tensor
 }
 
 // NewScaleShift constructs the normalisation layer.
@@ -53,26 +52,50 @@ func NewScaleShift(name string, a, b float64) *ScaleShift {
 	return &ScaleShift{LayerName: name, A: a, B: b}
 }
 
-// Forward implements Layer.
-func (s *ScaleShift) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	out.Scale(s.A)
-	out.Apply(func(v float64) float64 { return v + s.B })
-	return out
-}
-
-// Backward implements Layer.
-func (s *ScaleShift) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dx := dOut.Clone()
-	dx.Scale(s.A)
-	return dx
-}
-
 // Params implements Layer.
 func (s *ScaleShift) Params() []*Param { return nil }
 
 // Name implements Layer.
 func (s *ScaleShift) Name() string { return s.LayerName }
+
+// ForwardBatch implements Layer: the affine map, elementwise into the
+// layer's output workspace.
+func (s *ScaleShift) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	s.outB = reuse(s.outB, x.Shape()...)
+	scaleShift(s.outB.Data(), x.Data(), s.A, s.B)
+	return s.outB
+}
+
+// scaleGrad writes dOut·A into dx, a workspace regrown to dOut's shape,
+// and returns it; the body of every ScaleShift backward pass.
+func (s *ScaleShift) scaleGrad(dx, dOut *tensor.Tensor) *tensor.Tensor {
+	dx = reuse(dx, dOut.Shape()...)
+	dxd := dx.Data()
+	for i, g := range dOut.Data() {
+		dxd[i] = g * s.A
+	}
+	return dx
+}
+
+// BackwardBatch implements Layer.
+func (s *ScaleShift) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	s.dxB = s.scaleGrad(s.dxB, dOut)
+	return s.dxB
+}
+
+// BackwardBatchInput implements Layer (ScaleShift has no parameters).
+func (s *ScaleShift) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return s.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (s *ScaleShift) BackwardSample(_ int, dOut *tensor.Tensor) *tensor.Tensor {
+	s.dxS = s.scaleGrad(s.dxS, dOut)
+	return s.dxS
+}
+
+// ReleaseBatchState implements Layer.
+func (s *ScaleShift) ReleaseBatchState() { s.outB, s.dxB, s.dxS = nil, nil, nil }
 
 // Saturating reports whether the activation has saturation regions where
 // gradients approach but never exactly reach zero; such networks need an
@@ -84,12 +107,10 @@ type Activate struct {
 	LayerName string
 	Fn        Activation
 
-	in, out *tensor.Tensor // cached for the backward pass
+	inB, outB *tensor.Tensor // cached input and output of the last ForwardBatch
 
-	inB, outB *tensor.Tensor // cached batch state of the last ForwardBatch
-
-	// Input-gradient workspaces of the batched and per-sample-of-batch
-	// backward passes (batch.go states the ownership contract).
+	// Input-gradient workspaces of the batched and one-sample backward
+	// passes (batch.go states the ownership contract).
 	dxB, dxS *tensor.Tensor
 }
 
@@ -98,60 +119,9 @@ func NewActivate(name string, fn Activation) *Activate {
 	return &Activate{LayerName: name, Fn: fn}
 }
 
-// Forward implements Layer.
-func (a *Activate) Forward(x *tensor.Tensor) *tensor.Tensor {
-	a.in = x
-	a.out = tensor.New(x.Shape()...)
-	a.activateInto(a.out.Data(), x.Data())
-	return a.out
-}
-
-// activateInto writes Fn applied elementwise to x into out; the shared
-// kernel of the per-sample and batched forward passes (the ops are
-// per-element, so batching cannot change any value).
-func (a *Activate) activateInto(out, x []float64) {
-	out = out[:len(x)]
-	switch a.Fn {
-	case ReLU:
-		for i, v := range x {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
-		}
-	case Tanh:
-		for i, v := range x {
-			out[i] = math.Tanh(v)
-		}
-	case Sigmoid:
-		for i, v := range x {
-			out[i] = 1 / (1 + math.Exp(-v))
-		}
-	case LeakyReLU:
-		for i, v := range x {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = leakySlope * v
-			}
-		}
-	default:
-		copy(out, x)
-	}
-}
-
-// Backward implements Layer.
-func (a *Activate) Backward(dOut *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dOut.Shape()...)
-	a.backwardInto(dx, dOut, a.in.Data(), a.out.Data())
-	return dx
-}
-
 // backwardInto is the elementwise backward kernel against explicit
-// cached forward slices, shared by the per-sample, batched and
-// per-sample-of-batch paths: it copies dOut into dx (same size) and
-// scales it in place.
+// cached forward slices, shared by every backward pass: it copies dOut
+// into dx (same size) and scales it in place.
 func (a *Activate) backwardInto(dx, dOut *tensor.Tensor, in, out []float64) {
 	dd := dx.Data()
 	copy(dd, dOut.Data())
@@ -184,3 +154,35 @@ func (a *Activate) Params() []*Param { return nil }
 
 // Name implements Layer.
 func (a *Activate) Name() string { return a.LayerName }
+
+// ForwardBatch implements Layer: the activation is elementwise, so a
+// batch is one longer slice, written into the layer's output workspace.
+func (a *Activate) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	a.inB = x
+	a.outB = reuse(a.outB, x.Shape()...)
+	activate(a.Fn, a.outB.Data(), x.Data())
+	return a.outB
+}
+
+// BackwardBatch implements Layer.
+func (a *Activate) BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor {
+	a.dxB = reuse(a.dxB, dOut.Shape()...)
+	a.backwardInto(a.dxB, dOut, a.inB.Data(), a.outB.Data())
+	return a.dxB
+}
+
+// ReleaseBatchState implements Layer.
+func (a *Activate) ReleaseBatchState() { a.inB, a.outB, a.dxB, a.dxS = nil, nil, nil, nil }
+
+// BackwardBatchInput implements Layer (activations have no parameters).
+func (a *Activate) BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor {
+	return a.BackwardBatch(dOut)
+}
+
+// BackwardSample implements Layer.
+func (a *Activate) BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor {
+	n := dOut.Size()
+	a.dxS = reuse(a.dxS, dOut.Shape()...)
+	a.backwardInto(a.dxS, dOut, a.inB.Data()[b*n:(b+1)*n], a.outB.Data()[b*n:(b+1)*n])
+	return a.dxS
+}

@@ -128,17 +128,20 @@ func sameData(t *testing.T, name string, got, want []float64) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s: element %d = %v, want %v (batched path must be bit-identical)", name, i, got[i], want[i])
+			t.Fatalf("%s: element %d = %v, want %v (results must not depend on the batch)", name, i, got[i], want[i])
 		}
 	}
 }
 
 // TestBatchedEquivalence drives every layer type through ForwardBatch /
-// SoftmaxCrossEntropyBatch / BackwardBatch / BackwardSample and demands
-// exact equality with the per-sample path: logits, per-sample losses and
-// loss gradients, input gradients, accumulated parameter gradients, and
-// per-sample parameter gradients. Batch sizes cover B=1, an odd B and a
-// power of two.
+// SoftmaxCrossEntropyBatch / BackwardBatch / BackwardBatchInput /
+// BackwardSample and demands that a B-sample batch equal B one-sample
+// passes (Network.Forward/Backward) and an uneven split of the same
+// samples, exactly: logits, per-sample losses, input gradients,
+// accumulated parameter gradients, and per-sample parameter gradients.
+// Batch sizes cover B=1, an odd B and a power of two. The numeric
+// references are the finite-difference checks (gradcheck_test.go,
+// TestBatchGradCheck); the end-to-end goldens pin the bits.
 func TestBatchedEquivalence(t *testing.T) {
 	for _, bed := range batchBeds() {
 		for _, B := range []int{1, 3, 8} {
@@ -149,8 +152,8 @@ func TestBatchedEquivalence(t *testing.T) {
 				labels[i] = rng.Intn(bed.classes)
 			}
 
-			// Per-sample reference: logits, losses, loss grads, input
-			// grads, and the serial accumulated parameter gradients.
+			// One-sample reference: logits, losses, input grads, and the
+			// parameter gradients accumulated sample after sample.
 			ref := bed.build()
 			ref.ZeroGrad()
 			refLogits := make([]*tensor.Tensor, B)
@@ -158,15 +161,20 @@ func TestBatchedEquivalence(t *testing.T) {
 			refDX := make([]*tensor.Tensor, B)
 			for b, x := range xs {
 				logits := ref.Forward(x)
-				refLogits[b] = logits.Clone()
+				refLogits[b] = logits
 				loss, dLogits := SoftmaxCrossEntropy(logits, labels[b])
 				refLoss[b] = loss
-				refDX[b] = ref.Backward(dLogits)
+				refDX[b] = ref.Backward(dLogits).Clone()
+			}
+			sameGrads := func(what string, n *Network) {
+				t.Helper()
+				for i, p := range n.Params() {
+					sameData(t, bed.name+"/"+what+":"+p.Name, p.Grad.Data(), ref.Params()[i].Grad.Data())
+				}
 			}
 
-			// Batched path on an identical clone.
+			// The whole batch at once, on an identical clone.
 			net := ref.Clone()
-			net.ZeroGrad()
 			X := tensor.Stack(xs)
 			logitsB := net.ForwardBatch(X)
 			for b := range xs {
@@ -182,28 +190,37 @@ func TestBatchedEquivalence(t *testing.T) {
 			for b := range xs {
 				sameData(t, bed.name+"/dx", dXB.Sample(b).Data(), refDX[b].Data())
 			}
-			for i, p := range net.Params() {
-				sameData(t, bed.name+"/grad:"+p.Name, p.Grad.Data(), ref.Params()[i].Grad.Data())
-			}
+			sameGrads("grad", net)
 
 			// The input-only backward must produce the same dX without
 			// touching the parameter gradients.
-			before := make([][]float64, len(net.Params()))
-			for i, p := range net.Params() {
-				before[i] = append([]float64(nil), p.Grad.Data()...)
-			}
-			// dXI and dXB may share the first layer's workspace, so
-			// compare against the per-sample reference instead.
 			dXI := net.BackwardBatchInput(dLogitsB)
 			for b := range xs {
 				sameData(t, bed.name+"/dx-input-only", dXI.Sample(b).Data(), refDX[b].Data())
 			}
-			for i, p := range net.Params() {
-				sameData(t, bed.name+"/grad-untouched:"+p.Name, p.Grad.Data(), before[i])
+			sameGrads("grad-untouched", net)
+
+			// An uneven split of the same samples, chunk after chunk on
+			// one network, accumulates the same gradients.
+			split := ref.Clone()
+			cuts := []int{0, B / 2, min(B/2+1, B), B}
+			for i := 1; i < len(cuts); i++ {
+				lo, hi := cuts[i-1], cuts[i]
+				if lo == hi {
+					continue
+				}
+				logits := split.ForwardBatch(tensor.Stack(xs[lo:hi]))
+				_, dLogits := SoftmaxCrossEntropyBatch(logits, labels[lo:hi])
+				dx := split.BackwardBatch(dLogits)
+				for b := lo; b < hi; b++ {
+					sameData(t, bed.name+"/split-logits", logits.Sample(b-lo).Data(), refLogits[b].Data())
+					sameData(t, bed.name+"/split-dx", dx.Sample(b-lo).Data(), refDX[b].Data())
+				}
 			}
+			sameGrads("split-grad", split)
 
 			// BackwardSample: per-sample gradients out of one batched
-			// forward must equal a fresh per-sample Forward+Backward.
+			// forward must equal a one-sample Forward+Backward.
 			per := ref.Clone()
 			net2 := ref.Clone()
 			net2.ForwardBatch(X)

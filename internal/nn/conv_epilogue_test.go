@@ -94,10 +94,10 @@ func TestConvForwardMatchesPreEpilogueSequence(t *testing.T) {
 		}
 		xs := randIn(rng, c.InC, c.InH, c.InW)
 		want := oldConvForward(c, xs)
-		got := c.Forward(xs)
+		got := c.ForwardBatch(asBatch(xs))
 		for i := range want.Data() {
 			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("fused per-sample forward element %d = %v, want %v (pre-epilogue sequence)",
+				t.Fatalf("fused forward of one sample: element %d = %v, want %v (pre-epilogue per-sample sequence)",
 					i, got.Data()[i], want.Data()[i])
 			}
 		}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -17,15 +16,15 @@ import (
 // suites must run under an explicit tolerance (validate's Tolerance
 // knob), never the bit-exact mode.
 //
-// The forward passes mirror the float64 layers operation for operation
-// (same im2col lowering, same GEMM kernels via the generic tensor
-// layer, same bias/activation loops), so the float32 batched path is
-// bit-identical to the float32 per-sample path for the same reason the
-// float64 one is.
+// The forward passes run the float64 layers' kernels instantiated at
+// float32 (same im2col lowering, same GEMM kernels via the generic
+// tensor layer, and the shared generic bias, pooling, activation and
+// affine kernels of kernels.go), so a sample's float32 logits do not
+// depend on its batch for the same reason the float64 ones do.
 
-// layerF32 is one forward-only float32 stage of a NetF32.
+// layerF32 is one forward-only float32 stage of a NetF32, operating on
+// [B, ...] batches.
 type layerF32 interface {
-	forward(x *tensor.T32) *tensor.T32
 	forwardBatch(x *tensor.T32) *tensor.T32
 	// syncFrom re-quantises the layer's parameters from its float64
 	// counterpart; a no-op for stateless layers.
@@ -61,7 +60,7 @@ func (n *Network) ConvertF32() *NetF32 {
 		case *Dense:
 			fl = &denseF32{in: t.In, out: t.Out, weight: t.Weight.W.F32(), bias: t.Bias.W.F32()}
 		case *MaxPool2D:
-			fl = &maxPoolF32{c: t.C, h: t.H, w: t.W, k: t.K, stride: t.Stride, geom: t.Geom()}
+			fl = &maxPoolF32{geom: t.Geom()}
 		case *Activate:
 			fl = &activateF32{fn: t.Fn}
 		case *Flatten:
@@ -76,17 +75,14 @@ func (n *Network) ConvertF32() *NetF32 {
 	return &NetF32{layers: layers}
 }
 
-// Forward runs the float32 stack on a single sample and returns the
-// logits.
+// Forward runs one sample through the float32 stack as a batch of one
+// and returns its logits.
 func (n *NetF32) Forward(x *tensor.T32) *tensor.T32 {
-	for _, l := range n.layers {
-		x = l.forward(x)
-	}
-	return x
+	return n.ForwardBatch(asBatch(x)).Sample(0)
 }
 
 // ForwardBatch runs the float32 stack over a [B, ...] batch and returns
-// the [B, classes] logits; every row is bit-identical to Forward on
+// the [B, classes] logits; every row is bit-identical to a batch of
 // that sample alone.
 func (n *NetF32) ForwardBatch(x *tensor.T32) *tensor.T32 {
 	for _, l := range n.layers {
@@ -131,22 +127,12 @@ type convF32 struct {
 	bias                *tensor.T32 // [OutC]
 }
 
-func (c *convF32) forward(x *tensor.T32) *tensor.T32 {
-	if x.Rank() != 3 || x.Dim(0) != c.inC || x.Dim(1) != c.inH || x.Dim(2) != c.inW {
-		panic(fmt.Sprintf("nn: conv/f32 expects input [%d %d %d], got %v", c.inC, c.inH, c.inW, x.Shape()))
-	}
-	col := tensor.Im2Col(x, c.geom)
-	hw := c.geom.OutH * c.geom.OutW
-	out := convForwardSample(c.weight, c.bias, col, c.outC, hw) // [OutC, OutH*OutW]
-	return out.Reshape(c.outC, c.geom.OutH, c.geom.OutW)
-}
-
 func (c *convF32) forwardBatch(x *tensor.T32) *tensor.T32 {
 	if x.Rank() != 4 || x.Dim(1) != c.inC || x.Dim(2) != c.inH || x.Dim(3) != c.inW {
 		panic(fmt.Sprintf("nn: conv/f32 expects batch input [B %d %d %d], got %v", c.inC, c.inH, c.inW, x.Shape()))
 	}
 	b := x.Dim(0)
-	// Same fused strided kernel as the float64 layer (convkernel.go):
+	// Same fused strided kernel as the float64 layer (kernels.go):
 	// sample slabs written in place, bias in the epilogue, no permute.
 	out := tensor.NewOf[float32](b, c.outC, c.geom.OutH, c.geom.OutW)
 	convForwardBatch(out, c.weight, c.bias, tensor.Im2ColBatch(x, c.geom), b, c.outC, c.geom, nil)
@@ -177,28 +163,13 @@ type denseF32 struct {
 	bias    *tensor.T32 // [Out]
 }
 
-func (d *denseF32) forward(x *tensor.T32) *tensor.T32 {
-	if x.Size() != d.in {
-		panic(fmt.Sprintf("nn: dense/f32 expects %d inputs, got %v", d.in, x.Shape()))
-	}
-	out := tensor.MatVec(d.weight, x.Reshape(d.in))
-	out.AddInPlace(d.bias)
-	return out
-}
-
 func (d *denseF32) forwardBatch(x *tensor.T32) *tensor.T32 {
 	b := x.Dim(0)
 	if x.Size() != b*d.in {
 		panic(fmt.Sprintf("nn: dense/f32 expects %d inputs per sample, got %v", d.in, x.Shape()))
 	}
 	out := tensor.MatMulTB(x.Reshape(b, d.in), d.weight) // [B, Out]
-	od, bd := out.Data(), d.bias.Data()
-	for s := 0; s < b; s++ {
-		row := od[s*d.out : (s+1)*d.out]
-		for o, bv := range bd {
-			row[o] += bv
-		}
-	}
+	addBias(out.Data(), d.bias.Data())
 	return out
 }
 
@@ -221,61 +192,17 @@ func (d *denseF32) clone() layerF32 {
 // --- MaxPool2D ---
 
 type maxPoolF32 struct {
-	c, h, w, k, stride int
-	geom               tensor.ConvGeom
-}
-
-func (m *maxPoolF32) forward(x *tensor.T32) *tensor.T32 {
-	if x.Rank() != 3 || x.Dim(0) != m.c || x.Dim(1) != m.h || x.Dim(2) != m.w {
-		panic(fmt.Sprintf("nn: maxpool/f32 expects input [%d %d %d], got %v", m.c, m.h, m.w, x.Shape()))
-	}
-	out := tensor.New32(m.c, m.geom.OutH, m.geom.OutW)
-	m.poolSample(x.Data(), out.Data())
-	return out
+	geom tensor.ConvGeom
 }
 
 func (m *maxPoolF32) forwardBatch(x *tensor.T32) *tensor.T32 {
-	if x.Rank() != 4 || x.Dim(1) != m.c || x.Dim(2) != m.h || x.Dim(3) != m.w {
-		panic(fmt.Sprintf("nn: maxpool/f32 expects batch input [B %d %d %d], got %v", m.c, m.h, m.w, x.Shape()))
+	g := m.geom
+	if x.Rank() != 4 || x.Dim(1) != g.C || x.Dim(2) != g.H || x.Dim(3) != g.W {
+		panic(fmt.Sprintf("nn: maxpool/f32 expects batch input [B %d %d %d], got %v", g.C, g.H, g.W, x.Shape()))
 	}
-	b := x.Dim(0)
-	out := tensor.New32(b, m.c, m.geom.OutH, m.geom.OutW)
-	inSz := m.c * m.h * m.w
-	outSz := m.c * m.geom.OutH * m.geom.OutW
-	xd, od := x.Data(), out.Data()
-	for s := 0; s < b; s++ {
-		m.poolSample(xd[s*inSz:(s+1)*inSz], od[s*outSz:(s+1)*outSz])
-	}
+	out := tensor.New32(x.Dim(0), g.C, g.OutH, g.OutW)
+	poolForward(x.Data(), out.Data(), nil, x.Dim(0), g)
 	return out
-}
-
-// poolSample is the forward-only window scan: MaxPool2D.poolSample
-// without the winner-index bookkeeping the backward pass needs.
-func (m *maxPoolF32) poolSample(xd, od []float32) {
-	oh, ow := m.geom.OutH, m.geom.OutW
-	oi2 := 0
-	for c := 0; c < m.c; c++ {
-		chanBase := c * m.h * m.w
-		for oi := 0; oi < oh; oi++ {
-			for oj := 0; oj < ow; oj++ {
-				var best float32
-				first := true
-				for ki := 0; ki < m.k; ki++ {
-					ii := oi*m.stride + ki
-					rowBase := chanBase + ii*m.w
-					for kj := 0; kj < m.k; kj++ {
-						jj := oj*m.stride + kj
-						if v := xd[rowBase+jj]; first || v > best {
-							best = v
-							first = false
-						}
-					}
-				}
-				od[oi2] = best
-				oi2++
-			}
-		}
-	}
 }
 
 func (m *maxPoolF32) syncFrom(Layer) {}
@@ -291,35 +218,14 @@ type activateF32 struct {
 	fn Activation
 }
 
-func (a *activateF32) apply(x *tensor.T32) *tensor.T32 {
-	out := x.Clone()
-	switch a.fn {
-	case ReLU:
-		out.Apply(func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
-		})
-	case Tanh:
-		out.Apply(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	case Sigmoid:
-		out.Apply(func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) })
-	case LeakyReLU:
-		out.Apply(func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return leakySlope * v
-		})
-	}
+func (a *activateF32) forwardBatch(x *tensor.T32) *tensor.T32 {
+	out := tensor.New32(x.Shape()...)
+	activate(a.fn, out.Data(), x.Data())
 	return out
 }
 
-func (a *activateF32) forward(x *tensor.T32) *tensor.T32      { return a.apply(x) }
-func (a *activateF32) forwardBatch(x *tensor.T32) *tensor.T32 { return a.apply(x) }
-func (a *activateF32) syncFrom(Layer)                         {}
-func (a *activateF32) clone() layerF32                        { cp := *a; return &cp }
+func (a *activateF32) syncFrom(Layer)  {}
+func (a *activateF32) clone() layerF32 { cp := *a; return &cp }
 
 // --- ScaleShift ---
 
@@ -327,22 +233,19 @@ type scaleShiftF32 struct {
 	a, b float32
 }
 
-func (s *scaleShiftF32) apply(x *tensor.T32) *tensor.T32 {
-	out := x.Clone()
-	out.Apply(func(v float32) float32 { return v*s.a + s.b })
+func (s *scaleShiftF32) forwardBatch(x *tensor.T32) *tensor.T32 {
+	out := tensor.New32(x.Shape()...)
+	scaleShift(out.Data(), x.Data(), s.a, s.b)
 	return out
 }
 
-func (s *scaleShiftF32) forward(x *tensor.T32) *tensor.T32      { return s.apply(x) }
-func (s *scaleShiftF32) forwardBatch(x *tensor.T32) *tensor.T32 { return s.apply(x) }
-func (s *scaleShiftF32) syncFrom(Layer)                         {}
-func (s *scaleShiftF32) clone() layerF32                        { cp := *s; return &cp }
+func (s *scaleShiftF32) syncFrom(Layer)  {}
+func (s *scaleShiftF32) clone() layerF32 { cp := *s; return &cp }
 
 // --- Flatten ---
 
 type flattenF32 struct{}
 
-func (flattenF32) forward(x *tensor.T32) *tensor.T32 { return x.Reshape(x.Size()) }
 func (flattenF32) forwardBatch(x *tensor.T32) *tensor.T32 {
 	b := x.Dim(0)
 	return x.Reshape(b, x.Size()/b)

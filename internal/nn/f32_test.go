@@ -44,7 +44,7 @@ func f32TestInputs(n int) []*tensor.Tensor {
 
 // TestConvertF32MatchesFloat64: the float32 forward pass must agree
 // with the float64 reference within float32 rounding, for every
-// activation and both per-sample and batched evaluation.
+// activation.
 func TestConvertF32MatchesFloat64(t *testing.T) {
 	for _, act := range []Activation{ReLU, Tanh, Sigmoid, LeakyReLU} {
 		net := f32TestNet(act)
@@ -67,11 +67,12 @@ func TestConvertF32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestF32ForwardBatchBitIdenticalToPerSample: the float32 batched
-// forward must reproduce the float32 per-sample forward bitwise — the
+// TestF32ForwardBatchBitIdenticalToPerSample: the float32 logits of a
+// sample must not depend on its batch — a 6-sample batch, six
+// one-sample Forward passes and an uneven 4+2 split agree bitwise, the
 // same kernel-sequence argument as the float64 engine's guarantee.
 func TestF32ForwardBatchBitIdenticalToPerSample(t *testing.T) {
-	for _, act := range []Activation{ReLU, Tanh} {
+	for _, act := range []Activation{ReLU, Tanh, Sigmoid, LeakyReLU} {
 		f32 := f32TestNet(act).ConvertF32()
 		xs := f32TestInputs(6)
 		xs32 := make([]*tensor.T32, len(xs))
@@ -79,13 +80,20 @@ func TestF32ForwardBatchBitIdenticalToPerSample(t *testing.T) {
 			xs32[i] = x.F32()
 		}
 		logits := f32.ForwardBatch(tensor.Stack(xs32))
+		head := f32.ForwardBatch(tensor.Stack(xs32[:4]))
+		tail := f32.ForwardBatch(tensor.Stack(xs32[4:]))
 		for i, x := range xs32 {
 			want := f32.Forward(x)
-			row := logits.Sample(i)
-			for j := range want.Data() {
-				if row.Data()[j] != want.Data()[j] {
-					t.Fatalf("%v: batched f32 logit [%d][%d] = %x, want %x",
-						act, i, j, row.Data()[j], want.Data()[j])
+			split := head
+			if i >= 4 {
+				split = tail
+			}
+			for k, row := range []*tensor.T32{logits.Sample(i), split.Sample(i % 4)} {
+				for j := range want.Data() {
+					if row.Data()[j] != want.Data()[j] {
+						t.Fatalf("%v: %s f32 logit [%d][%d] = %x, one-sample pass %x",
+							act, []string{"batched", "split"}[k], i, j, row.Data()[j], want.Data()[j])
+					}
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func TestConvForwardBias(t *testing.T) {
 	c.Bias.W.Data()[1] = -2
 	x := tensor.New(1, 4, 4)
 	x.Fill(3)
-	out := c.Forward(x)
+	out := NewNetwork(c).Forward(x)
 	for i := 0; i < 16; i++ {
 		if out.Data()[i] != 1.5 {
 			t.Fatalf("channel 0 output = %v, want 1.5", out.Data()[i])
@@ -42,7 +42,7 @@ func TestConvIdentityKernel(t *testing.T) {
 	c := NewConv2D("c", 1, 3, 3, 1, 1, 1, 0)
 	c.Weight.W.Data()[0] = 1
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
-	out := c.Forward(x)
+	out := NewNetwork(c).Forward(x)
 	for i, v := range x.Data() {
 		if out.Data()[i] != v {
 			t.Fatalf("identity conv[%d] = %v, want %v", i, out.Data()[i], v)
@@ -57,7 +57,7 @@ func TestConvWrongInputPanics(t *testing.T) {
 			t.Fatal("wrong conv input did not panic")
 		}
 	}()
-	c.Forward(tensor.New(2, 4, 4))
+	NewNetwork(c).Forward(tensor.New(2, 4, 4))
 }
 
 func TestDenseForwardHandChecked(t *testing.T) {
@@ -65,7 +65,7 @@ func TestDenseForwardHandChecked(t *testing.T) {
 	copy(d.Weight.W.Data(), []float64{1, 2, 3, 4})
 	copy(d.Bias.W.Data(), []float64{0.5, -0.5})
 	x := tensor.FromSlice([]float64{1, 1}, 2)
-	out := d.Forward(x)
+	out := NewNetwork(d).Forward(x)
 	if out.Data()[0] != 3.5 || out.Data()[1] != 6.5 {
 		t.Fatalf("Dense forward = %v, want [3.5 6.5]", out.Data())
 	}
@@ -74,7 +74,7 @@ func TestDenseForwardHandChecked(t *testing.T) {
 func TestDenseAcceptsFlattenedShapes(t *testing.T) {
 	d := NewDense("fc", 4, 2)
 	x := tensor.New(1, 2, 2) // rank-3 but right size
-	if out := d.Forward(x); out.Size() != 2 {
+	if out := NewNetwork(d).Forward(x); out.Size() != 2 {
 		t.Fatalf("output size %d, want 2", out.Size())
 	}
 }
@@ -86,7 +86,7 @@ func TestDenseWrongSizePanics(t *testing.T) {
 			t.Fatal("wrong dense input did not panic")
 		}
 	}()
-	d.Forward(tensor.New(5))
+	NewNetwork(d).Forward(tensor.New(5))
 }
 
 func TestMaxPoolForwardHandChecked(t *testing.T) {
@@ -97,7 +97,7 @@ func TestMaxPoolForwardHandChecked(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 4, 4)
-	out := p.Forward(x)
+	out := NewNetwork(p).Forward(x)
 	want := []float64{4, 8, 12, 16}
 	for i, w := range want {
 		if out.Data()[i] != w {
@@ -109,9 +109,10 @@ func TestMaxPoolForwardHandChecked(t *testing.T) {
 func TestMaxPoolBackwardRouting(t *testing.T) {
 	p := NewMaxPool2D("pool", 1, 2, 2, 2, 2)
 	x := tensor.FromSlice([]float64{1, 9, 3, 4}, 1, 2, 2)
-	p.Forward(x)
+	net := NewNetwork(p)
+	net.Forward(x)
 	d := tensor.FromSlice([]float64{5}, 1, 1, 1)
-	dx := p.Backward(d)
+	dx := net.Backward(d)
 	want := []float64{0, 5, 0, 0}
 	for i, w := range want {
 		if dx.Data()[i] != w {
@@ -125,7 +126,7 @@ func TestMaxPoolNegativeInputs(t *testing.T) {
 	// zero-initialised "best" bug).
 	p := NewMaxPool2D("pool", 1, 2, 2, 2, 2)
 	x := tensor.FromSlice([]float64{-5, -1, -3, -4}, 1, 2, 2)
-	out := p.Forward(x)
+	out := NewNetwork(p).Forward(x)
 	if out.Data()[0] != -1 {
 		t.Fatalf("pool of negatives = %v, want -1", out.Data()[0])
 	}
@@ -143,8 +144,7 @@ func TestActivationValues(t *testing.T) {
 		{Sigmoid, []float64{1 / (1 + math.Exp(2)), 0.5, 1 / (1 + math.Exp(-3))}},
 	}
 	for _, c := range cases {
-		a := NewActivate("a", c.fn)
-		out := a.Forward(x)
+		out := NewNetwork(NewActivate("a", c.fn)).Forward(x)
 		for i, w := range c.want {
 			if math.Abs(out.Data()[i]-w) > 1e-12 {
 				t.Errorf("%v(%v) = %v, want %v", c.fn, x.Data()[i], out.Data()[i], w)
@@ -169,14 +169,14 @@ func TestActivationStringAndSaturating(t *testing.T) {
 }
 
 func TestFlattenRoundTrip(t *testing.T) {
-	f := NewFlatten("flat")
+	net := NewNetwork(NewFlatten("flat"))
 	x := tensor.New(2, 3, 4)
-	out := f.Forward(x)
+	out := net.Forward(x)
 	if out.Rank() != 1 || out.Size() != 24 {
 		t.Fatalf("flatten out %v", out.Shape())
 	}
 	d := tensor.New(24)
-	dx := f.Backward(d)
+	dx := net.Backward(d)
 	if dx.Rank() != 3 || dx.Dim(0) != 2 || dx.Dim(1) != 3 || dx.Dim(2) != 4 {
 		t.Fatalf("flatten backward shape %v", dx.Shape())
 	}

@@ -8,9 +8,9 @@
 // of the paper) and the input (the paper's Algorithm 2 synthesises test
 // inputs by gradient descent on the input).
 //
-// Layers operate on single samples ([C,H,W] images or [N] vectors); the
-// training loop batches by accumulating parameter gradients across
-// samples. Backward must follow a Forward of the same input, the usual
+// Layers operate on [B, ...] batches of [C,H,W] images or [N] vectors;
+// a single sample is a batch of one (Network.Forward/Backward). A
+// backward pass must follow a forward pass of the same input, the usual
 // tape discipline.
 package nn
 
@@ -32,20 +32,43 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, W: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
 
-// Layer is one stage of a feed-forward network.
+// Layer is one stage of a feed-forward network. Its passes run on
+// [B, ...] batches (BackwardSample on one sample of the last one), and
+// the tensors they return are layer-owned (batch.go states the
+// ownership contract).
 type Layer interface {
-	// Forward computes the layer output for x and caches whatever the
-	// backward pass needs.
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	// Backward consumes the gradient with respect to the last Forward's
-	// output, accumulates parameter gradients, and returns the gradient
-	// with respect to the input.
-	Backward(dOut *tensor.Tensor) *tensor.Tensor
+	// ForwardBatch computes the layer output for a [B, ...] batch and
+	// caches whatever the backward passes need.
+	ForwardBatch(x *tensor.Tensor) *tensor.Tensor
+	// BackwardBatch consumes the [B, ...] gradient with respect to the
+	// last ForwardBatch's output, accumulates parameter gradients across
+	// the batch in ascending sample order, and returns the [B, ...]
+	// gradient with respect to the input.
+	BackwardBatch(dOut *tensor.Tensor) *tensor.Tensor
+	// BackwardSample backpropagates sample b of the last ForwardBatch:
+	// dOut is that sample's (batchless) output gradient, parameter
+	// gradients accumulate exactly as a batch of that sample alone would
+	// accumulate them, and the sample's input gradient is returned. The
+	// coverage extractor uses it to pull per-sample ∇θ out of one
+	// batched forward pass.
+	BackwardSample(b int, dOut *tensor.Tensor) *tensor.Tensor
+	// BackwardBatchInput is BackwardBatch without parameter-gradient
+	// accumulation: the same bit-identical [B, ...] input gradient with
+	// the dW/db work skipped — the right backward for input synthesis,
+	// which never reads parameter gradients.
+	BackwardBatchInput(dOut *tensor.Tensor) *tensor.Tensor
+	// ReleaseBatchState drops whatever caches and workspaces the layer
+	// keeps between passes; the next pass rebuilds them.
+	ReleaseBatchState()
 	// Params returns the layer's learnable parameters (nil if stateless).
 	Params() []*Param
 	// Name identifies the layer in coverage reports and serialised form.
 	Name() string
 }
+
+// BatchLayer is an alias of Layer, kept for code that names the batched
+// contract explicitly.
+type BatchLayer = Layer
 
 // Network is an ordered stack of layers ending in logits (the softmax is
 // applied by the loss functions, not stored as a layer).
@@ -80,23 +103,19 @@ func (n *Network) index() {
 	}
 }
 
-// Forward runs the full stack and returns the logits.
+// Forward runs one sample through the stack as a batch of one and
+// returns its logits, a fresh tensor like ForwardBatch's.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.LayerStack {
-		x = l.Forward(x)
-	}
-	return x
+	return n.ForwardBatch(asBatch(x)).Sample(0)
 }
 
-// Backward propagates dLogits through the stack (after a Forward),
-// accumulating parameter gradients, and returns the gradient with
-// respect to the network input.
+// Backward propagates one sample's dLogits through the stack (after a
+// Forward) as a batch of one, accumulating parameter gradients, and
+// returns the gradient with respect to the network input. Like every
+// backward result it is layer-owned: valid until the next backward pass
+// on this network.
 func (n *Network) Backward(dLogits *tensor.Tensor) *tensor.Tensor {
-	d := dLogits
-	for i := len(n.LayerStack) - 1; i >= 0; i-- {
-		d = n.LayerStack[i].Backward(d)
-	}
-	return d
+	return n.BackwardBatch(asBatch(dLogits)).Sample(0)
 }
 
 // Params returns every learnable parameter tensor in network order.

@@ -87,19 +87,11 @@ func TestForwardBatchLogitsDoNotAlias(t *testing.T) {
 	}
 }
 
-// perSampleState lists the unexported layer fields that belong to the
-// per-sample Forward/Backward path or to fixed geometry, which
-// ReleaseBatchState leaves alone. Every other pointer, slice or
-// interface field is batched-pass state and must be dropped.
-var perSampleState = map[string]bool{
-	"Conv2D.col": true, "Dense.x": true, "MaxPool2D.argmax": true,
-	"Activate.in": true, "Activate.out": true, "Flatten.inShape": true,
-}
-
-// TestReleaseBatchStateDropsWorkspaces runs every batched pass (and the
-// per-sample one) on each bed, releases, and checks by reflection that
-// no batched workspace or cache survives — including any field added
-// later that the release forgets.
+// TestReleaseBatchStateDropsWorkspaces runs every pass (and the
+// one-sample Forward/Backward) on each bed, releases, and checks by
+// reflection that no unexported pointer, slice, map, interface or int
+// field of any layer survives — every workspace and cache, including
+// any field added later that the release forgets.
 func TestReleaseBatchStateDropsWorkspaces(t *testing.T) {
 	for _, bed := range batchBeds() {
 		net := bed.build()
@@ -122,7 +114,7 @@ func TestReleaseBatchStateDropsWorkspaces(t *testing.T) {
 			for i := 0; i < v.NumField(); i++ {
 				f := typ.Field(i)
 				key := typ.Name() + "." + f.Name
-				if f.IsExported() || perSampleState[key] {
+				if f.IsExported() {
 					continue
 				}
 				switch fv := v.Field(i); fv.Kind() {

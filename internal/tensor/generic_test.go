@@ -59,8 +59,6 @@ func TestF32KernelsMatchF64(t *testing.T) {
 		check("MatMulTA", MatMulTA(at64.F32(), b64.F32()), MatMulTA(at64, b64), s.k)
 		bt64 := randMat(rng, s.n, s.k)
 		check("MatMulTB", MatMulTB(a64.F32(), bt64.F32()), MatMulTB(a64, bt64), s.k)
-		x64 := randMat(rng, s.k, 1).Reshape(s.k)
-		check("MatVec", MatVec(a64.F32(), x64.F32()), MatVec(a64, x64), s.k)
 	}
 }
 

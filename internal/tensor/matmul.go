@@ -205,24 +205,3 @@ func gemmTBDims[E Num](a, b *Dense[E]) (m, k, n int) {
 func gemmTB[E Num](c, a, b *Dense[E], m, k, n int, accumulate bool) {
 	gemmTBMat(c.data, a.data, Mat[E]{Data: b.data, Rows: n, Cols: k, Stride: k}, m, k, n, accumulate)
 }
-
-// MatVec returns y = A·x for A of shape [m,n] and x of length n.
-func MatVec[E Num](a, x *Dense[E]) *Dense[E] {
-	if a.Rank() != 2 || x.Size() != a.Dim(1) {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v × %v", a.Shape(), x.Shape()))
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	y := NewOf[E](m)
-	workers := kernelWorkers(m, satMul(m, n))
-	parallel.ForUncounted(m, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.data[i*n : i*n+n]
-			var s E
-			for j, v := range row {
-				s += v * x.data[j]
-			}
-			y.data[i] = s
-		}
-	})
-	return y
-}

@@ -124,18 +124,6 @@ func TestMatMulTBParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMatVecParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	forceParallel(t, 3)
-	for _, s := range gemmShapes {
-		a := randMat(rng, s.m, s.n)
-		x := randMat(rng, 1, s.n).Reshape(s.n)
-		var want *Tensor
-		serialOnly(func() { want = MatVec(a, x) })
-		tensorsEqualBitwise(t, "MatVec", MatVec(a, x), want)
-	}
-}
-
 func TestKernelWorkersFallsBackToSerial(t *testing.T) {
 	prev := Parallelism()
 	SetParallelism(8)

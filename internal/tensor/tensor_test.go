@@ -259,15 +259,6 @@ func TestMatMulTBMatchesExplicitTranspose(t *testing.T) {
 	assertClose(t, got, want, 1e-12)
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float64{1, 1, 1}, 3)
-	y := MatVec(a, x)
-	if y.Data()[0] != 6 || y.Data()[1] != 15 {
-		t.Fatalf("MatVec = %v", y.Data())
-	}
-}
-
 func transpose(a *Tensor) *Tensor {
 	m, n := a.Dim(0), a.Dim(1)
 	at := New(n, m)

@@ -115,12 +115,6 @@ type Config struct {
 	// (workers merge in index order) but is not bit-identical to serial,
 	// because per-sample gradient additions associate differently.
 	Parallelism int
-	// PerSample forces the legacy sample-at-a-time forward/backward loop
-	// instead of batched minibatch evaluation. The batched path
-	// accumulates every gradient cell's per-sample terms in the same
-	// order as the loop, so both paths produce bit-identical models; the
-	// knob exists for equivalence tests and benchmarks.
-	PerSample bool
 }
 
 // Result summarises a training run.
@@ -133,21 +127,11 @@ type Result struct {
 // gradChunk accumulates the softmax cross-entropy gradients of the
 // given samples into net and returns the per-sample losses in order.
 // One batched forward/backward pass covers the whole chunk; parameter
-// gradients accumulate in ascending sample order with the per-sample
-// operation sequence, and losses come back individually so callers can
-// reduce them with the associativity of the old sample-at-a-time loop —
-// both paths therefore produce bit-identical models and reported loss.
-func gradChunk(net *nn.Network, ds *data.Dataset, idxs []int, perSample bool) []float64 {
-	if perSample || len(idxs) == 1 {
-		losses := make([]float64, len(idxs))
-		for i, idx := range idxs {
-			s := ds.Samples[idx]
-			loss, dLogits := nn.SoftmaxCrossEntropy(net.Forward(s.X), s.Label)
-			net.Backward(dLogits)
-			losses[i] = loss
-		}
-		return losses
-	}
+// gradients accumulate in ascending sample order, exactly as a loop of
+// one-sample passes would add them, and losses come back individually
+// so callers can reduce them in sample order — so the model and the
+// reported loss do not depend on how a minibatch is chunked.
+func gradChunk(net *nn.Network, ds *data.Dataset, idxs []int) []float64 {
 	xs := make([]*tensor.Tensor, len(idxs))
 	labels := make([]int, len(idxs))
 	for i, idx := range idxs {
@@ -220,7 +204,7 @@ func Fit(net *nn.Network, ds *data.Dataset, cfg Config) (Result, error) {
 					c.SyncParamsFrom(net)
 					c.ZeroGrad()
 					workerLoss[w] = 0
-					for _, l := range gradChunk(c, ds, batch[lo:hi], cfg.PerSample) {
+					for _, l := range gradChunk(c, ds, batch[lo:hi]) {
 						workerLoss[w] += l
 					}
 				})
@@ -233,7 +217,7 @@ func Fit(net *nn.Network, ds *data.Dataset, cfg Config) (Result, error) {
 					epochLoss += l //detlint:allow floatreduce(sequential fold over per-worker losses in fixed worker order; regrouping through a kernel would change rounding and break run-to-run loss identity)
 				}
 			} else {
-				for _, l := range gradChunk(net, ds, batch, cfg.PerSample) {
+				for _, l := range gradChunk(net, ds, batch) {
 					epochLoss += l //detlint:allow floatreduce(sequential fold in minibatch-schedule order; the epoch loss is defined by this exact accumulation sequence)
 				}
 			}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/data"
@@ -18,10 +19,6 @@ func parallelTestbed(t *testing.T) (*nn.Network, *data.Dataset) {
 }
 
 func fitOnce(t *testing.T, parallelism int) *nn.Network {
-	return fitOnceCfg(t, parallelism, false)
-}
-
-func fitOnceCfg(t *testing.T, parallelism int, perSample bool) *nn.Network {
 	t.Helper()
 	net, ds := parallelTestbed(t)
 	_, err := Fit(net, ds, Config{
@@ -30,7 +27,6 @@ func fitOnceCfg(t *testing.T, parallelism int, perSample bool) *nn.Network {
 		Optimizer:   NewAdam(0.002),
 		Seed:        5,
 		Parallelism: parallelism,
-		PerSample:   perSample,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,25 +34,50 @@ func fitOnceCfg(t *testing.T, parallelism int, perSample bool) *nn.Network {
 	return net
 }
 
-// TestFitBatchedMatchesPerSample: batched minibatch evaluation must
-// produce a bit-identical model to the legacy sample-at-a-time loop —
-// the batched engine accumulates every gradient cell's per-sample terms
-// in the same order — both serially and under worker fan-out.
+// TestFitBatchedMatchesPerSample: a minibatch's gradient must not depend
+// on how gradChunk splits it. One 16-sample pass, sixteen one-sample
+// passes and uneven splits must accumulate bit-identical parameter
+// gradients and per-sample losses — the property that makes training
+// with Parallelism 1 and 0 identical and lets a worker's chunk be any
+// size, down to one sample.
 func TestFitBatchedMatchesPerSample(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		perSample := fitOnceCfg(t, workers, true)
-		batched := fitOnceCfg(t, workers, false)
-		for i := 0; i < perSample.NumParams(); i++ {
-			if perSample.ParamAt(i) != batched.ParamAt(i) {
-				t.Fatalf("workers %d: param %d differs between per-sample and batched training: %v vs %v",
-					workers, i, perSample.ParamAt(i), batched.ParamAt(i))
+	net, ds := parallelTestbed(t)
+	idxs := rand.New(rand.NewSource(8)).Perm(ds.Len())[:16]
+	run := func(splits []int) (grads, losses []float64) {
+		c := net.Clone()
+		lo := 0
+		for _, hi := range splits {
+			losses = append(losses, gradChunk(c, ds, idxs[lo:hi])...)
+			lo = hi
+		}
+		for i := 0; i < c.NumParams(); i++ {
+			grads = append(grads, c.GradAt(i))
+		}
+		return grads, losses
+	}
+	wantGrads, wantLosses := run([]int{16})
+	ones := make([]int, 16)
+	for i := range ones {
+		ones[i] = i + 1
+	}
+	for _, splits := range [][]int{ones, {5, 6, 16}, {1, 3, 10, 16}} {
+		grads, losses := run(splits)
+		for i, g := range grads {
+			if g != wantGrads[i] {
+				t.Fatalf("splits %v: grad %d = %v, one 16-sample pass gives %v", splits, i, g, wantGrads[i])
+			}
+		}
+		for i, l := range losses {
+			if l != wantLosses[i] {
+				t.Fatalf("splits %v: loss %d = %v, one 16-sample pass gives %v", splits, i, l, wantLosses[i])
 			}
 		}
 	}
 }
 
-// TestAccuracyBatchedMatchesPerSample pins the batched evaluator to the
-// per-sample classifier answers.
+// TestAccuracyBatchedMatchesPerSample pins Accuracy's batched evaluator
+// (a 64-sample batch and an uneven 26-sample remainder) to one-sample
+// Predict passes.
 func TestAccuracyBatchedMatchesPerSample(t *testing.T) {
 	net, ds := parallelTestbed(t)
 	correct := 0
@@ -67,7 +88,7 @@ func TestAccuracyBatchedMatchesPerSample(t *testing.T) {
 	}
 	want := float64(correct) / float64(ds.Len())
 	if got := Accuracy(net, ds); got != want {
-		t.Fatalf("batched Accuracy = %v, per-sample %v", got, want)
+		t.Fatalf("batched Accuracy = %v, one-sample passes %v", got, want)
 	}
 }
 

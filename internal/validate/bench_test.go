@@ -235,7 +235,7 @@ func BenchmarkReplayRedial(b *testing.B) {
 // BenchmarkReplayManyClients is the fleet-throughput scenario: many
 // connections each replaying the suite one query at a time — the shape
 // sentinel probes and small validators produce — against one server,
-// with cross-connection coalescing off (every query a per-sample
+// with cross-connection coalescing off (every query a one-sample
 // forward on its own clone) and on (same-shape queries gathered across
 // connections into one batched forward). Warm sessions, so the wire
 // carries back-references; the work is the evaluation dispatch itself.
@@ -243,7 +243,7 @@ func BenchmarkReplayRedial(b *testing.B) {
 // suite's references come from the same instance): batched evaluation
 // wins exactly where weight reuse does, one streaming pass over the FC
 // matrix answering the whole batch instead of one pass per query. On
-// conv-dominated models per-sample forwards have no such reuse to
+// conv-dominated models one-sample forwards have no such reuse to
 // recover and coalescing is a wash — dispatch policy only moves
 // throughput when the evaluation does. Each client pipelines two
 // queries (Concurrency 2) so the fleet keeps 2×clients single-query

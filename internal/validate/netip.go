@@ -767,7 +767,8 @@ func answerV3On64(clone *nn.Network, req requestV3) responseV3 {
 
 // evalOnF32 is evalOn for the float32 inference path: same-shaped
 // multi-input batches as one batched forward pass (bit-identical per
-// sample to individual float32 forwards), anything else per sample.
+// sample to individual float32 forwards), anything else one query at a
+// time.
 // NetF32 keeps no batch caches, so there is nothing to release; shape
 // panics come back as errors exactly as on the float64 path.
 func evalOnF32(net *nn.NetF32, xs []*tensor.T32) (out []*tensor.T32, err error) {
@@ -786,26 +787,27 @@ func evalOnF32(net *nn.NetF32, xs []*tensor.T32) (out []*tensor.T32, err error) 
 	}
 	out = make([]*tensor.T32, len(xs))
 	for i, x := range xs {
-		out[i] = net.Forward(x).Clone()
+		out[i] = net.Forward(x)
 	}
 	return out, nil
 }
 
 // evalOn runs the queries on the net: same-shaped multi-input batches
 // as one batched forward pass (bit-identical per sample to individual
-// forwards), anything else per sample. A panic from a malformed input
-// shape comes back as an error, leaving the network usable; batch
-// caches are released even then — a mid-stack shape panic happens after
-// earlier layers already cached batch state, which must not ride back
-// into a clone pool pinning heap.
+// forwards), anything else one query at a time. A panic from a
+// malformed input shape comes back as an error, leaving the network
+// usable. Either way the layer workspaces are released on return — a
+// one-query pass fills them just as a batch does, and a mid-stack shape
+// panic happens after earlier layers already cached state, none of
+// which may ride back into a clone pool pinning heap.
 func evalOn(net *nn.Network, xs []*tensor.Tensor) (out []*tensor.Tensor, err error) {
+	defer net.ReleaseBatchState()
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("query rejected: %v", r)
+		}
+	}()
 	if len(xs) > 1 && sameShapes(xs) {
-		defer net.ReleaseBatchState()
-		defer func() {
-			if r := recover(); r != nil {
-				out, err = nil, fmt.Errorf("query rejected: %v", r)
-			}
-		}()
 		logits := net.ForwardBatch(tensor.Stack(xs))
 		out = make([]*tensor.Tensor, len(xs))
 		for i := range xs {
@@ -813,14 +815,9 @@ func evalOn(net *nn.Network, xs []*tensor.Tensor) (out []*tensor.Tensor, err err
 		}
 		return out, nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("query rejected: %v", r)
-		}
-	}()
 	out = make([]*tensor.Tensor, len(xs))
 	for i, x := range xs {
-		out[i] = net.Forward(x).Clone()
+		out[i] = net.Forward(x)
 	}
 	return out, nil
 }

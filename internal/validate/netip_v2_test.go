@@ -28,7 +28,7 @@ func testInputs(n int, seed int64) []*tensor.Tensor {
 }
 
 // TestRemoteQueryBatchMatchesLocal: a batched wire exchange must return
-// outputs bit-identical to local per-sample forwards.
+// outputs bit-identical to local one-sample forwards.
 func TestRemoteQueryBatchMatchesLocal(t *testing.T) {
 	_, addr := startServer(t)
 	ip, err := Dial(addr)

@@ -69,12 +69,12 @@ type LocalIP struct {
 
 // Query implements IP.
 func (ip LocalIP) Query(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return ip.Net.Forward(x).Clone(), nil
+	return ip.Net.Forward(x), nil
 }
 
 // QueryBatch implements BatchIP. Same-shaped inputs run as one batched
 // forward pass, whose per-sample logits are bit-identical to individual
-// Query calls; mixed shapes fall back to the per-sample loop (shared
+// Query calls; mixed shapes fall back to one query at a time (shared
 // with the server and PooledIP via evalOn).
 func (ip LocalIP) QueryBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
@@ -205,7 +205,7 @@ func BuildSuite(name string, net *nn.Network, tests []*tensor.Tensor, mode Compa
 	s := &Suite{Name: name, Mode: mode, Decimals: 6}
 	for _, x := range tests {
 		s.Inputs = append(s.Inputs, x)
-		s.Outputs = append(s.Outputs, net.Forward(x).Clone())
+		s.Outputs = append(s.Outputs, net.Forward(x))
 	}
 	return s
 }
